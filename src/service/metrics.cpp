@@ -87,6 +87,7 @@ std::string ServiceMetrics::ToJson() const {
   out << "  \"cache\": {\n";
   out << "    \"response_hits\": " << get(response_hits) << ",\n";
   out << "    \"response_misses\": " << get(response_misses) << ",\n";
+  out << "    \"memo_hits\": " << get(memo_hits) << ",\n";
   out << "    \"scenario_hits\": " << get(scenario_hits) << ",\n";
   out << "    \"scenario_misses\": " << get(scenario_misses) << ",\n";
   out << "    \"evictions\": " << get(cache_evictions) << ",\n";

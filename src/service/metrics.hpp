@@ -64,6 +64,7 @@ struct ServiceMetrics {
   // Cache.
   std::atomic<std::uint64_t> response_hits{0};
   std::atomic<std::uint64_t> response_misses{0};
+  std::atomic<std::uint64_t> memo_hits{0};  ///< of response_hits, unparsed
   std::atomic<std::uint64_t> scenario_hits{0};
   std::atomic<std::uint64_t> scenario_misses{0};
   std::atomic<std::uint64_t> cache_evictions{0};

@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -15,10 +16,13 @@ namespace fadesched::service {
 
 namespace {
 
+// %.17g: to_chars with general format and a precision is specified as
+// printf's conversion, byte for byte.
 std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17);
+  return std::string(buffer, result.ptr);
 }
 
 std::string FormatHash(std::uint64_t hash) {
@@ -119,14 +123,109 @@ std::string FormatRequestFrame(const SchedulingRequest& request) {
   if (!scenario.empty() && scenario.back() != '\n') scenario += '\n';
   // check= covers the whole frame body (header without the check token
   // itself, newline, payload) so a flipped bit anywhere — id, scheduler,
-  // deadline, or scenario — is detected as wire corruption.
-  const std::uint64_t check = Fnv1a64(header + '\n' + scenario);
-  std::string frame = header + " check=" + FormatHash(check);
+  // deadline, or scenario — is detected as wire corruption. FNV-1a is a
+  // running hash, so chaining over the pieces equals hashing their
+  // concatenation.
+  const std::uint64_t check =
+      Fnv1a64(scenario, Fnv1a64("\n", Fnv1a64(header)));
+  std::string frame;
+  frame.reserve(header.size() + 24 + scenario.size() + 4);
+  frame += header;
+  frame += " check=";
+  frame += FormatHash(check);
   frame += '\n';
   frame += scenario;
   frame += kFrameEnd;
   frame += '\n';
   return frame;
+}
+
+namespace {
+
+bool IsHexDigit(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
+}
+
+// True for bytes the istringstream tokenizer of ParseRequestFrame would
+// split on; a header holding one outside the single ' ' separators is
+// left to that parser.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+}  // namespace
+
+std::optional<RequestFrameView> VerifyRequestFrame(std::string_view frame) {
+  const std::size_t header_end = frame.find('\n');
+  if (header_end == std::string_view::npos) return std::nullopt;
+  const std::string_view header = frame.substr(0, header_end);
+  constexpr std::string_view kVerb = "REQUEST ";
+  if (header.substr(0, kVerb.size()) != kVerb) return std::nullopt;
+
+  RequestFrameView view;
+  view.payload = frame.substr(header_end + 1);
+  std::optional<std::string_view> deadline;
+  std::optional<std::uint64_t> check;
+  std::size_t check_begin = 0;  // the ' ' before the check token
+  std::size_t check_end = 0;
+  std::size_t pos = kVerb.size();
+  for (;;) {
+    std::size_t end = header.find(' ', pos);
+    if (end == std::string_view::npos) end = header.size();
+    const std::string_view token = header.substr(pos, end - pos);
+    const std::size_t eq = token.find('=');
+    if (eq == std::string_view::npos || eq == 0) return std::nullopt;
+    for (const char c : token) {
+      if (IsSpace(c)) return std::nullopt;
+    }
+    const std::string_view key = token.substr(0, eq);
+    const std::string_view value = token.substr(eq + 1);
+    if (key == "id" && view.id.empty()) {
+      view.id = value;
+    } else if (key == "scheduler" && view.scheduler.empty()) {
+      view.scheduler = value;
+    } else if (key == "deadline" && !deadline.has_value()) {
+      deadline = value;
+    } else if (key == "check" && !check.has_value() && !value.empty() &&
+               value.size() <= 16) {
+      std::uint64_t hash = 0;
+      for (const char c : value) {
+        if (!IsHexDigit(c)) return std::nullopt;
+      }
+      std::from_chars(value.data(), value.data() + value.size(), hash, 16);
+      check = hash;
+      check_begin = pos - 1;
+      check_end = end;
+    } else {
+      return std::nullopt;  // unknown, repeated or malformed: full parse
+    }
+    if (end == header.size()) break;
+    pos = end + 1;
+  }
+  if (view.id.empty() || view.scheduler.empty() || !check.has_value()) {
+    return std::nullopt;
+  }
+  if (deadline.has_value()) {
+    // Admission ignores the deadline on a hit, but ParseRequestFrame
+    // rejects a malformed or negative one, so the fast path must too.
+    // from_chars accepts a subset of strtod's syntax, with equal values.
+    double seconds = 0.0;
+    const auto [end, ec] = std::from_chars(
+        deadline->data(), deadline->data() + deadline->size(), seconds);
+    if (ec != std::errc() || end != deadline->data() + deadline->size() ||
+        !(seconds >= 0.0)) {
+      return std::nullopt;
+    }
+  }
+  // The same bytes ParseRequestFrame hashes: the header with the check
+  // token and its separator spliced out, the newline, the payload.
+  std::uint64_t hash = Fnv1a64(header.substr(0, check_begin));
+  hash = Fnv1a64(header.substr(check_end), hash);
+  hash = Fnv1a64(view.payload, Fnv1a64("\n", hash));
+  if (hash != *check) return std::nullopt;
+  return view;
 }
 
 SchedulingRequest ParseRequestFrame(const std::string& frame) {
@@ -388,6 +487,7 @@ StatsSnapshot CaptureStats(const ServiceMetrics& metrics) {
   s.worker_restarts = get(metrics.worker_restarts);
   s.response_hits = get(metrics.response_hits);
   s.response_misses = get(metrics.response_misses);
+  s.memo_hits = get(metrics.memo_hits);
   s.scenario_hits = get(metrics.scenario_hits);
   s.scenario_misses = get(metrics.scenario_misses);
   s.queue_depth = get(metrics.queue_depth);
@@ -411,6 +511,7 @@ void AccumulateStats(StatsSnapshot& into, const StatsSnapshot& from) {
   into.worker_restarts += from.worker_restarts;
   into.response_hits += from.response_hits;
   into.response_misses += from.response_misses;
+  into.memo_hits += from.memo_hits;
   into.scenario_hits += from.scenario_hits;
   into.scenario_misses += from.scenario_misses;
   into.queue_depth += from.queue_depth;
@@ -442,6 +543,7 @@ constexpr StatsField kStatsFields[] = {
     {"worker_restarts", &StatsSnapshot::worker_restarts},
     {"response_hits", &StatsSnapshot::response_hits},
     {"response_misses", &StatsSnapshot::response_misses},
+    {"memo_hits", &StatsSnapshot::memo_hits},
     {"scenario_hits", &StatsSnapshot::scenario_hits},
     {"scenario_misses", &StatsSnapshot::scenario_misses},
     {"queue_depth", &StatsSnapshot::queue_depth},
@@ -519,34 +621,6 @@ std::string StatsSnapshot::ToJson() const {
   std::snprintf(rate, sizeof(rate), "%.6f", WarmHitRate());
   out += std::string("  \"warm_hit_rate\": ") + rate + "\n}\n";
   return out;
-}
-
-bool FrameAssembler::Feed(const std::string& line) {
-  if (done_) Reset();
-  ++lines_;
-  if (line == kFrameEnd) {
-    done_ = true;
-    return true;
-  }
-  frame_ += line;
-  frame_ += '\n';
-  return false;
-}
-
-SchedulingRequest FrameAssembler::Parse() const {
-  if (!done_) throw util::FatalError(Truncated());
-  return ParseRequestFrame(frame_);
-}
-
-std::string FrameAssembler::Truncated() const {
-  return "truncated request frame after " + std::to_string(lines_) +
-         " line(s) — missing END terminator";
-}
-
-void FrameAssembler::Reset() {
-  frame_.clear();
-  lines_ = 0;
-  done_ = false;
 }
 
 }  // namespace fadesched::service

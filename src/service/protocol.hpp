@@ -48,7 +48,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "service/metrics.hpp"
 #include "service/request.hpp"
@@ -78,6 +80,10 @@ struct StatsSnapshot {
   std::uint64_t worker_restarts = 0;
   std::uint64_t response_hits = 0;    ///< whole-response cache hits
   std::uint64_t response_misses = 0;
+  /// Response hits served from the raw-frame memo, without parsing the
+  /// frame. Also counted in response_hits, so WarmHitRate keeps its
+  /// meaning.
+  std::uint64_t memo_hits = 0;
   std::uint64_t scenario_hits = 0;    ///< warm-engine cache hits
   std::uint64_t scenario_misses = 0;
   std::uint64_t queue_depth = 0;           ///< gauge
@@ -130,6 +136,25 @@ std::string FormatRequestFrame(const SchedulingRequest& request);
 /// kTransient for a missing or mismatching check= (wire corruption).
 SchedulingRequest ParseRequestFrame(const std::string& frame);
 
+/// The parts of a request frame the response memo keys on, as views into
+/// the frame's bytes.
+struct RequestFrameView {
+  std::string_view id;
+  std::string_view scheduler;
+  std::string_view payload;  ///< everything after the header line
+};
+
+/// Verifies check= over a frame whose header has the shape
+/// FormatRequestFrame emits — single-space separated id=, scheduler=,
+/// optional deadline= and a 1–16 digit hex check=, each once — by
+/// chaining Fnv1a64 over the header and payload spans, without copying
+/// or parsing the payload. Returns nullopt for any other header, an
+/// invalid deadline, or a checksum mismatch: ParseRequestFrame then
+/// gives the typed diagnosis. When this returns a view, ParseRequestFrame
+/// accepts the same frame exactly when its payload parses, with the same
+/// id and scheduler.
+std::optional<RequestFrameView> VerifyRequestFrame(std::string_view frame);
+
 /// Formats the single response line (no trailing newline). Deliberately
 /// omits cache_hit so hit and miss responses are byte-identical.
 std::string FormatResponseLine(const SchedulingResponse& response);
@@ -137,43 +162,5 @@ std::string FormatResponseLine(const SchedulingResponse& response);
 /// Parses a response line produced by FormatResponseLine. Throws
 /// util::HarnessError (kFatal) on malformed input.
 SchedulingResponse ParseResponseLine(const std::string& line);
-
-/// Incremental frame assembler for a line-oriented transport: feed lines
-/// as they arrive; Done() flips when the END terminator lands. Reuse via
-/// Reset(). A frame abandoned mid-way (connection closed before END) is
-/// reported by Truncated(), which names how many lines arrived.
-class FrameAssembler {
- public:
-  /// Consumes one line (without its newline). Returns true when this line
-  /// completed the frame.
-  bool Feed(const std::string& line);
-
-  [[nodiscard]] bool Done() const { return done_; }
-  [[nodiscard]] bool Empty() const { return lines_ == 0; }
-
-  /// Bytes accumulated so far (the server's max-frame guard sums this
-  /// with its unscanned buffer) and lines fed (named in guard errors).
-  [[nodiscard]] std::size_t ByteSize() const { return frame_.size(); }
-  [[nodiscard]] std::size_t Lines() const { return lines_; }
-
-  /// Parses the assembled frame (requires Done()).
-  [[nodiscard]] SchedulingRequest Parse() const;
-
-  /// Raw frame bytes accumulated so far (each fed line + '\n'). The shard
-  /// router forwards this verbatim to a worker instead of re-serializing,
-  /// so the worker sees — and checksums — exactly what the client sent.
-  [[nodiscard]] const std::string& Body() const { return frame_; }
-
-  /// Error message for a frame cut off before END ("truncated request
-  /// frame after N line(s) — missing END terminator").
-  [[nodiscard]] std::string Truncated() const;
-
-  void Reset();
-
- private:
-  std::string frame_;
-  std::size_t lines_ = 0;
-  bool done_ = false;
-};
 
 }  // namespace fadesched::service

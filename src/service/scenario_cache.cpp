@@ -1,5 +1,6 @@
 #include "service/scenario_cache.hpp"
 
+#include <functional>
 #include <utility>
 
 #include "util/check.hpp"
@@ -12,20 +13,19 @@ namespace {
 // a cache of thousands of tiny responses still respects the budget.
 constexpr std::size_t kNodeOverheadBytes = 512;
 
-std::string ResponseGuard(const Fingerprint& fp) {
-  // Scheduler first, then its newline terminator (names cannot contain
-  // one), then the canonical blob: the split is unambiguous even though
-  // the blob is binary, and a response guard can never equal a scenario
-  // guard (which is the bare blob starting with the version magic).
-  std::string guard = fp.scheduler;
-  guard += '\n';
-  guard += fp.canonical_scenario;
-  return guard;
-}
-
 std::size_t EstimateResponseBytes(const Fingerprint& fp,
                                   const SchedulingResponse& response) {
+  // The blob is charged even when shared with a scenario node: a response
+  // node keeps it alive after that node is evicted.
   return kNodeOverheadBytes + fp.canonical_scenario.size() +
+         response.schedule.size() * sizeof(net::LinkId) +
+         response.message.size();
+}
+
+std::size_t EstimateMemoBytes(std::string_view scheduler,
+                              std::string_view payload,
+                              const SchedulingResponse& response) {
+  return kNodeOverheadBytes + scheduler.size() + payload.size() +
          response.schedule.size() * sizeof(net::LinkId) +
          response.message.size();
 }
@@ -47,13 +47,22 @@ void ScenarioCache::Bump(
 }
 
 ScenarioCache::LruList::iterator ScenarioCache::FindLocked(
-    std::uint64_t hash, const std::string& guard) {
+    Level level, std::uint64_t hash, std::string_view scheduler,
+    std::string_view bytes) {
   auto [begin, end] = index_.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
-    if (it->second->guard == guard) return it->second;
+    if (it->second->Matches(level, scheduler, bytes)) return it->second;
     Bump(&ServiceMetrics::cache_collisions);
   }
   return lru_.end();
+}
+
+void ScenarioCache::InsertLocked(Node node) {
+  const std::uint64_t hash = node.hash;
+  current_bytes_ += node.cost_bytes;
+  lru_.push_front(std::move(node));
+  index_.emplace(hash, lru_.begin());
+  EvictLocked();
 }
 
 void ScenarioCache::TouchLocked(LruList::iterator it) {
@@ -81,7 +90,8 @@ std::size_t ScenarioCache::EstimateScenarioBytes(
   const std::size_t n = scenario.links.Size();
   // LinkSet SoA (7 doubles/link) + the engine's per-link tables (another
   // 7 doubles/link) + the canonical bytes held for the collision guard.
-  std::size_t bytes = kNodeOverheadBytes + scenario.canonical_scenario.size() +
+  std::size_t bytes = kNodeOverheadBytes +
+                      (scenario.canonical ? scenario.canonical->size() : 0) +
                       14 * sizeof(double) * n;
   if (engine.backend == channel::FactorBackend::kMatrix) {
     bytes += n * n * sizeof(double);  // the materialized factor matrix
@@ -90,17 +100,19 @@ std::size_t ScenarioCache::EstimateScenarioBytes(
 }
 
 bool ScenarioCache::IsWarm(const Fingerprint& fp) const {
-  const std::string response_guard = ResponseGuard(fp);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto resident = [this](std::uint64_t hash, const std::string& guard) {
+  const auto resident = [this, &fp](Level level, std::uint64_t hash,
+                               std::string_view scheduler) {
     auto [begin, end] = index_.equal_range(hash);
     for (auto it = begin; it != end; ++it) {
-      if (it->second->guard == guard) return true;
+      if (it->second->Matches(level, scheduler, fp.canonical_scenario)) {
+        return true;
+      }
     }
     return false;
   };
-  return resident(fp.request_hash, response_guard) ||
-         resident(fp.scenario_hash, fp.canonical_scenario);
+  return resident(Level::kResponse, fp.request_hash, fp.scheduler) ||
+         resident(Level::kScenario, fp.scenario_hash, {});
 }
 
 ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
@@ -108,7 +120,8 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
     bool degrade_build) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = FindLocked(fp.scenario_hash, fp.canonical_scenario);
+    const auto it =
+        FindLocked(Level::kScenario, fp.scenario_hash, {}, fp.canonical_scenario);
     if (it != lru_.end()) {
       TouchLocked(it);
       Bump(&ServiceMetrics::scenario_hits);
@@ -124,7 +137,7 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
   auto built = std::make_shared<Scenario>();
   built->links = request.scenario.links;
   built->params = request.scenario.params;
-  built->canonical_scenario = fp.canonical_scenario;
+  built->canonical = std::make_shared<const std::string>(fp.canonical_scenario);
   channel::EngineOptions engine_options = options_.engine;
   engine_options.shared.reset();
   if (degrade_build) {
@@ -143,29 +156,28 @@ ScenarioCache::ScenarioPtr ScenarioCache::ObtainScenario(
   std::lock_guard<std::mutex> lock(mutex_);
   // Two threads may have raced the build; first insert wins and the loser
   // adopts it (both engines are bit-identical, so either is correct).
-  const auto raced = FindLocked(fp.scenario_hash, fp.canonical_scenario);
+  const auto raced =
+      FindLocked(Level::kScenario, fp.scenario_hash, {}, fp.canonical_scenario);
   if (raced != lru_.end()) {
     TouchLocked(raced);
     return raced->scenario;
   }
   Node node;
+  node.level = Level::kScenario;
   node.hash = fp.scenario_hash;
-  node.guard = fp.canonical_scenario;
+  node.bytes = built->canonical;
   node.scenario = built;
   node.cost_bytes = built->cost_bytes;
-  lru_.push_front(std::move(node));
-  index_.emplace(fp.scenario_hash, lru_.begin());
-  current_bytes_ += built->cost_bytes;
-  EvictLocked();
+  InsertLocked(std::move(node));
   return built;
 }
 
 bool ScenarioCache::LookupResponse(const Fingerprint& fp,
                                    SchedulingResponse* out,
                                    bool count_miss) {
-  const std::string guard = ResponseGuard(fp);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = FindLocked(fp.request_hash, guard);
+  const auto it = FindLocked(Level::kResponse, fp.request_hash, fp.scheduler,
+                             fp.canonical_scenario);
   if (it == lru_.end()) {
     if (count_miss) Bump(&ServiceMetrics::response_misses);
     return false;
@@ -177,25 +189,71 @@ bool ScenarioCache::LookupResponse(const Fingerprint& fp,
 }
 
 void ScenarioCache::StoreResponse(const Fingerprint& fp,
-                                  const SchedulingResponse& response) {
+                                  const SchedulingResponse& response,
+                                  std::shared_ptr<const std::string> canonical) {
   if (!response.Ok()) return;  // admission failures must not be replayed
   SchedulingResponse stored = response;
   stored.id.clear();          // correlation tag is per-request
   stored.cache_hit = false;   // stamped by the caller on each serve
-  const std::string guard = ResponseGuard(fp);
   const std::size_t cost = EstimateResponseBytes(fp, stored);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (FindLocked(fp.request_hash, guard) != lru_.end()) return;
+  if (FindLocked(Level::kResponse, fp.request_hash, fp.scheduler,
+                 fp.canonical_scenario) != lru_.end()) {
+    return;
+  }
   Node node;
+  node.level = Level::kResponse;
   node.hash = fp.request_hash;
-  node.guard = guard;
+  node.scheduler = fp.scheduler;
+  node.bytes = canonical != nullptr
+                   ? std::move(canonical)
+                   : std::make_shared<const std::string>(fp.canonical_scenario);
   node.response = std::move(stored);
   node.cost_bytes = cost;
-  lru_.push_front(std::move(node));
-  index_.emplace(fp.request_hash, lru_.begin());
-  current_bytes_ += cost;
-  EvictLocked();
+  InsertLocked(std::move(node));
+}
+
+std::uint64_t ScenarioCache::MemoHash(std::string_view scheduler,
+                                      std::string_view payload) {
+  // Any cheap hash will do: every hit is confirmed by a full compare.
+  const std::hash<std::string_view> hasher;
+  return hasher(payload) ^ (hasher(scheduler) * 0x9e3779b97f4a7c15ull);
+}
+
+bool ScenarioCache::LookupMemo(std::uint64_t hash, std::string_view scheduler,
+                               std::string_view payload,
+                               SchedulingResponse* out) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = FindLocked(Level::kMemo, hash, scheduler, payload);
+  if (it == lru_.end()) return false;
+  TouchLocked(it);
+  Bump(&ServiceMetrics::response_hits);
+  Bump(&ServiceMetrics::memo_hits);
+  if (out != nullptr) *out = *it->response;
+  return true;
+}
+
+void ScenarioCache::StoreMemo(std::uint64_t hash, std::string_view scheduler,
+                              std::string_view payload,
+                              const SchedulingResponse& response) {
+  if (!response.Ok()) return;
+  SchedulingResponse stored = response;
+  stored.id.clear();
+  stored.cache_hit = false;
+  const std::size_t cost = EstimateMemoBytes(scheduler, payload, stored);
+  // The payload is copied outside the lock; of two racing stores of one
+  // key the first insert wins.
+  Node node;
+  node.level = Level::kMemo;
+  node.hash = hash;
+  node.scheduler = std::string(scheduler);
+  node.bytes = std::make_shared<const std::string>(payload);
+  node.response = std::move(stored);
+  node.cost_bytes = cost;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (FindLocked(Level::kMemo, hash, scheduler, payload) != lru_.end()) return;
+  InsertLocked(std::move(node));
 }
 
 std::size_t ScenarioCache::CurrentBytes() const {

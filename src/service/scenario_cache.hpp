@@ -1,7 +1,7 @@
 // Bounded-memory LRU cache of scheduling state, keyed by the canonical
 // content fingerprint.
 //
-// Two levels share one byte budget and one recency list:
+// Three levels share one byte budget and one recency list:
 //
 //   * scenario entries — the parsed LinkSet plus a built
 //     channel::InterferenceEngine (the service's configured backend), so
@@ -12,11 +12,15 @@
 //   * response entries — the completed SchedulingResponse for
 //     (scenario, scheduler), so an identical repeat request skips
 //     scheduling entirely.
+//   * memo entries — the same response keyed by (scheduler, raw payload
+//     bytes) of a verified request frame, so a byte-identical repeat
+//     skips parsing and fingerprinting too (SchedulingService::SubmitFrame).
 //
-// Hash collisions are rejected, not served: every entry stores the
-// canonical bytes it was keyed by and a lookup compares them before
-// declaring a hit (a 64-bit content hash makes collisions vanishingly
-// rare; comparing makes serving a wrong schedule impossible).
+// Hash collisions are rejected, not served: every entry stores the bytes
+// it was keyed by and a lookup compares them before declaring a hit (a
+// 64-bit hash makes collisions rare; comparing makes serving a wrong
+// schedule impossible). A scenario entry and the response entries stored
+// against it share one copy of the canonical blob.
 //
 // All operations are thread-safe behind one mutex; engine builds happen
 // OUTSIDE the lock so a large miss cannot stall concurrent hits. Two
@@ -30,6 +34,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "channel/batch_interference.hpp"
@@ -61,7 +66,9 @@ class ScenarioCache {
   struct Scenario {
     net::LinkSet links;
     channel::ChannelParams params;
-    std::string canonical_scenario;
+    /// The canonical blob this entry is keyed by; the guards of its node
+    /// and of the response nodes stored with it point at this one copy.
+    std::shared_ptr<const std::string> canonical;
     std::optional<channel::InterferenceEngine> engine;
     std::size_t cost_bytes = 0;
   };
@@ -97,9 +104,26 @@ class ScenarioCache {
   /// a probe that misses hands the request to HandleNow, whose own lookup
   /// is the authoritative miss — counting both would double every cold
   /// request in the warm-hit-rate denominator.
+  /// StoreResponse's `canonical`, when given, is the resident scenario's
+  /// blob for `fp` (ObtainScenario's entry->canonical); the response node
+  /// then shares it instead of copying fp.canonical_scenario.
   bool LookupResponse(const Fingerprint& fp, SchedulingResponse* out,
                       bool count_miss = true);
-  void StoreResponse(const Fingerprint& fp, const SchedulingResponse& response);
+  void StoreResponse(const Fingerprint& fp, const SchedulingResponse& response,
+                     std::shared_ptr<const std::string> canonical = nullptr);
+
+  /// Raw-frame memo, keyed by `hash` (MemoHash in production; tests pass
+  /// their own to force collisions) and guarded by a full compare of
+  /// scheduler and payload. A hit counts in response_hits and memo_hits
+  /// and copies the response into *out; a miss counts nothing — the full
+  /// path behind it does the authoritative lookup. Store is a no-op for
+  /// non-kOk responses or a key already resident.
+  static std::uint64_t MemoHash(std::string_view scheduler,
+                                std::string_view payload);
+  bool LookupMemo(std::uint64_t hash, std::string_view scheduler,
+                  std::string_view payload, SchedulingResponse* out);
+  void StoreMemo(std::uint64_t hash, std::string_view scheduler,
+                 std::string_view payload, const SchedulingResponse& response);
 
   [[nodiscard]] std::size_t CurrentBytes() const;
   [[nodiscard]] std::size_t NumEntries() const;
@@ -112,15 +136,25 @@ class ScenarioCache {
                                            const channel::EngineOptions& engine);
 
  private:
-  // One LRU node covers either level; exactly one of scenario/response is
-  // set. `guard` is the exact-match key (canonical bytes, plus the
-  // scheduler name for responses).
+  enum class Level : std::uint8_t { kScenario, kResponse, kMemo };
+
+  // One LRU node covers any level. The exact-match key is (level,
+  // scheduler, *bytes): the canonical blob for scenario and response
+  // nodes (scheduler empty on scenario nodes), the raw payload for memo
+  // nodes. A scenario node carries `scenario`, the others `response`.
   struct Node {
+    Level level = Level::kScenario;
     std::uint64_t hash = 0;
-    std::string guard;
+    std::string scheduler;
+    std::shared_ptr<const std::string> bytes;
     ScenarioPtr scenario;
     std::optional<SchedulingResponse> response;
     std::size_t cost_bytes = 0;
+
+    [[nodiscard]] bool Matches(Level l, std::string_view s,
+                               std::string_view b) const {
+      return level == l && scheduler == s && *bytes == b;
+    }
   };
   using LruList = std::list<Node>;
 
@@ -128,7 +162,14 @@ class ScenarioCache {
   void TouchLocked(LruList::iterator it);
   /// Evicts LRU tail nodes until the budget holds. Caller holds the mutex.
   void EvictLocked();
-  LruList::iterator FindLocked(std::uint64_t hash, const std::string& guard);
+  /// The matching node, or lru_.end(); every same-hash node that does
+  /// not match counts as a collision. Caller holds the mutex.
+  LruList::iterator FindLocked(Level level, std::uint64_t hash,
+                               std::string_view scheduler,
+                               std::string_view bytes);
+  /// Links a new node at the front and evicts to budget. Caller holds
+  /// the mutex.
+  void InsertLocked(Node node);
 
   void Bump(std::atomic<std::uint64_t> ServiceMetrics::* counter) const;
 

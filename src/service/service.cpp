@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "sched/registry.hpp"
+#include "service/protocol.hpp"
 #include "util/error.hpp"
 
 namespace fadesched::service {
@@ -64,7 +66,7 @@ SchedulingResponse SchedulingService::HandleNow(
     response.schedule = result.schedule;
     response.claimed_rate = result.claimed_rate;
     response.cache_hit = false;
-    cache_->StoreResponse(fp, response);
+    cache_->StoreResponse(fp, response, entry->canonical);
     return response;
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
@@ -83,8 +85,38 @@ SchedulingResponse SchedulingService::HandleNow(
   }
 }
 
+namespace {
+
+std::future<SchedulingResponse> Ready(SchedulingResponse response) {
+  std::promise<SchedulingResponse> ready;
+  ready.set_value(std::move(response));
+  return ready.get_future();
+}
+
+// Ledger of a hit answered inline: submitted, admitted and completed
+// each count it, and the three latency histograms take its time.
+void RecordInlineHit(ServiceMetrics& metrics,
+                     std::chrono::steady_clock::time_point start) {
+  metrics.submitted.fetch_add(1, std::memory_order_relaxed);
+  metrics.admitted.fetch_add(1, std::memory_order_relaxed);
+  metrics.completed.fetch_add(1, std::memory_order_relaxed);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  metrics.service_latency.Record(seconds);
+  metrics.total_latency.Record(seconds);
+  metrics.warm_total_latency.Record(seconds);
+}
+
+}  // namespace
+
 std::future<SchedulingResponse> SchedulingService::Submit(
     SchedulingRequest request) {
+  return SubmitParsed(std::move(request), nullptr);
+}
+
+std::future<SchedulingResponse> SchedulingService::SubmitParsed(
+    SchedulingRequest request, const MemoSource* memo) {
   // Fingerprinting costs a canonical serialization (~µs), paid again
   // inside HandleNow on admitted requests — accepted: admission cannot
   // reuse it without threading cache state through the request, and
@@ -105,21 +137,16 @@ std::future<SchedulingResponse> SchedulingService::Submit(
     SchedulingResponse response;
     if (!batcher_->Draining() &&
         cache_->LookupResponse(fp, &response, /*count_miss=*/false)) {
+      // A second sighting of these bytes: memoize them so the next
+      // repeat skips this parse and fingerprint.
+      if (memo != nullptr) {
+        cache_->StoreMemo(memo->hash, request.scheduler, memo->payload,
+                          response);
+      }
       response.id = request.id;
       response.cache_hit = true;
-      metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
-      metrics_.admitted.fetch_add(1, std::memory_order_relaxed);
-      metrics_.completed.fetch_add(1, std::memory_order_relaxed);
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        submitted_at)
-              .count();
-      metrics_.service_latency.Record(seconds);
-      metrics_.total_latency.Record(seconds);
-      metrics_.warm_total_latency.Record(seconds);
-      std::promise<SchedulingResponse> ready;
-      ready.set_value(std::move(response));
-      return ready.get_future();
+      RecordInlineHit(metrics_, submitted_at);
+      return Ready(std::move(response));
     }
 
     const RequestClass cls =
@@ -128,6 +155,47 @@ std::future<SchedulingResponse> SchedulingService::Submit(
   } catch (...) {
     return batcher_->Submit(std::move(request), RequestClass::kWarm);
   }
+}
+
+std::future<SchedulingResponse> SchedulingService::SubmitFrame(
+    std::string frame) {
+  const auto received = std::chrono::steady_clock::now();
+  const std::optional<RequestFrameView> view = VerifyRequestFrame(frame);
+  MemoSource memo;
+  if (view.has_value()) {
+    memo = {ScenarioCache::MemoHash(view->scheduler, view->payload),
+            view->payload};
+    SchedulingResponse response;
+    if (!batcher_->Draining() &&
+        cache_->LookupMemo(memo.hash, view->scheduler, view->payload,
+                           &response)) {
+      response.id = std::string(view->id);
+      response.cache_hit = true;
+      RecordInlineHit(metrics_, received);
+      return Ready(std::move(response));
+    }
+  }
+
+  SchedulingRequest request;
+  try {
+    request = ParseRequestFrame(frame);
+  } catch (const std::exception& e) {
+    // Corruption (a check= mismatch) is kTransient and retryable; a
+    // malformed frame is a caller bug. Neither reaches admission.
+    const auto* typed = dynamic_cast<const util::HarnessError*>(&e);
+    const util::ErrorKind kind =
+        typed != nullptr ? typed->kind() : util::ErrorKind::kFatal;
+    (kind == util::ErrorKind::kTransient ? metrics_.checksum_failures
+                                         : metrics_.protocol_errors)
+        .fetch_add(1, std::memory_order_relaxed);
+    SchedulingResponse error;
+    error.status = ResponseStatus::kError;
+    error.error_kind = kind;
+    error.message = e.what();
+    error.id = "-";
+    return Ready(std::move(error));
+  }
+  return SubmitParsed(std::move(request), view.has_value() ? &memo : nullptr);
 }
 
 SchedulingResponse SchedulingService::Execute(SchedulingRequest request) {

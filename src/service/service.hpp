@@ -14,8 +14,11 @@
 // instance poisons one response, not the worker thread.
 #pragma once
 
+#include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "service/batcher.hpp"
 #include "service/metrics.hpp"
@@ -47,6 +50,23 @@ class SchedulingService {
   /// build — are shed first.
   std::future<SchedulingResponse> Submit(SchedulingRequest request);
 
+  /// The front ends' entry point: one carved request frame (header
+  /// through the line before END), raw. In order, it
+  ///   1. verifies check= over the frame's spans (VerifyRequestFrame);
+  ///   2. falls through to ParseRequestFrame if that fails or the header
+  ///      is not in canonical form — a parse error comes back as a typed
+  ///      kError response with id "-", counted in checksum_failures
+  ///      (kTransient) or protocol_errors, as before;
+  ///   3. unless draining, looks up (scheduler, payload bytes) in the
+  ///      cache's memo level;
+  ///   4. on a hit, returns the memoized response stamped with the
+  ///      frame's id — no parse, no fingerprint, ledgered like Submit's
+  ///      inline hit.
+  /// A miss parses and goes through Submit; when that request hits the
+  /// response cache inline, its payload is memoized, so only frames that
+  /// repeat pay the memo's bytes. The future is always fulfilled.
+  std::future<SchedulingResponse> SubmitFrame(std::string frame);
+
   /// Submit + wait.
   SchedulingResponse Execute(SchedulingRequest request);
 
@@ -58,6 +78,16 @@ class SchedulingService {
   [[nodiscard]] OverloadController& Overload() { return batcher_->Overload(); }
 
  private:
+  /// Where a verified frame's payload can be memoized from.
+  struct MemoSource {
+    std::uint64_t hash = 0;
+    std::string_view payload;
+  };
+
+  /// Submit, filling the memo from `memo` (may be null) on an inline hit.
+  std::future<SchedulingResponse> SubmitParsed(SchedulingRequest request,
+                                               const MemoSource* memo);
+
   ServiceMetrics metrics_;
   std::unique_ptr<ScenarioCache> cache_;
   std::unique_ptr<RequestBatcher> batcher_;

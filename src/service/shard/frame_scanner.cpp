@@ -1,5 +1,7 @@
 #include "service/shard/frame_scanner.hpp"
 
+#include <cstring>
+
 #include "service/request.hpp"
 
 namespace fadesched::service::shard {
@@ -8,26 +10,55 @@ void FrameScanner::Feed(const char* data, std::size_t size) {
   buffer_.append(data, size);
 }
 
+std::string FrameScanner::Truncated() const {
+  return "truncated request frame after " + std::to_string(lines_) +
+         " line(s) — missing END terminator";
+}
+
+std::string FrameScanner::TakeFrame(std::size_t end) const {
+  if (stripped_cr_ == 0) return buffer_.substr(frame_start_, end - frame_start_);
+  std::string frame;
+  frame.reserve(end - frame_start_ - stripped_cr_);
+  for (std::size_t i = frame_start_; i < end; ++i) {
+    if (buffer_[i] == '\r' && buffer_[i + 1] == '\n') continue;
+    frame += buffer_[i];
+  }
+  return frame;
+}
+
 std::vector<ScanEvent> FrameScanner::Drain() {
   std::vector<ScanEvent> events;
-  std::size_t line_end;
-  while ((line_end = buffer_.find('\n')) != std::string::npos) {
-    std::string line = buffer_.substr(0, line_end);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    buffer_.erase(0, line_end + 1);
-    if (assembler_.Empty() && line == kStatsVerb) {
-      ScanEvent event;
-      event.kind = ScanEvent::Kind::kStats;
-      events.push_back(std::move(event));
+  const char* const data = buffer_.data();
+  while (const void* found = std::memchr(data + search_from_, '\n',
+                                         buffer_.size() - search_from_)) {
+    const std::size_t line_start = scan_;
+    const std::size_t newline = static_cast<const char*>(found) - data;
+    scan_ = search_from_ = newline + 1;
+    const bool cr = newline > line_start && data[newline - 1] == '\r';
+    const std::string_view line(data + line_start,
+                                newline - line_start - (cr ? 1 : 0));
+    if (lines_ == 0 && line == kStatsVerb) {
+      events.push_back(ScanEvent{ScanEvent::Kind::kStats, {}});
+      frame_start_ = scan_;
       continue;
     }
-    if (!assembler_.Feed(line)) continue;
-    ScanEvent event;
-    event.kind = ScanEvent::Kind::kFrame;
-    event.frame = assembler_.Body();
-    events.push_back(std::move(event));
-    assembler_.Reset();
+    if (line != kFrameEnd) {
+      ++lines_;
+      if (cr) ++stripped_cr_;
+      continue;
+    }
+    // END: the frame is every line before it, each with its '\n'.
+    events.push_back(ScanEvent{ScanEvent::Kind::kFrame, TakeFrame(line_start)});
+    frame_start_ = scan_;
+    lines_ = 0;
+    stripped_cr_ = 0;
   }
+  search_from_ = buffer_.size();
+  // One compaction per drain: drop everything before the pending frame.
+  buffer_.erase(0, frame_start_);
+  scan_ -= frame_start_;
+  search_from_ -= frame_start_;
+  frame_start_ = 0;
   return events;
 }
 

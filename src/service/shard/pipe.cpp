@@ -54,12 +54,14 @@ void AppendPipeMsg(std::string& out, const PipeMsg& msg) {
 }
 
 void PipeDecoder::Feed(const char* data, std::size_t size) {
+  buffer_.erase(0, read_);
+  read_ = 0;
   buffer_.append(data, size);
 }
 
 std::optional<PipeMsg> PipeDecoder::Pop() {
-  if (buffer_.size() < kPipeHeaderBytes) return std::nullopt;
-  const char* p = buffer_.data();
+  if (BufferedBytes() < kPipeHeaderBytes) return std::nullopt;
+  const char* p = buffer_.data() + read_;
   const std::uint32_t magic = GetU32(p);
   if (magic != kPipeMagic) {
     throw util::FatalError("shard pipe framing lost: bad magic 0x" + [&] {
@@ -80,12 +82,12 @@ std::optional<PipeMsg> PipeDecoder::Pop() {
                            std::to_string(length) + " exceeds the " +
                            std::to_string(kMaxPipePayloadBytes) + " cap");
   }
-  if (buffer_.size() < kPipeHeaderBytes + length) return std::nullopt;
+  if (BufferedBytes() < kPipeHeaderBytes + length) return std::nullopt;
   PipeMsg msg;
   msg.kind = static_cast<PipeMsgKind>(kind);
   msg.ticket = ticket;
-  msg.payload.assign(buffer_, kPipeHeaderBytes, length);
-  buffer_.erase(0, kPipeHeaderBytes + length);
+  msg.payload.assign(p + kPipeHeaderBytes, length);
+  read_ += kPipeHeaderBytes + length;
   return msg;
 }
 

@@ -65,12 +65,18 @@ class PipeDecoder {
 
   /// True when a partial header/payload is pending — EOF here means the
   /// peer died mid-write.
-  [[nodiscard]] bool MidMessage() const { return !buffer_.empty(); }
+  [[nodiscard]] bool MidMessage() const { return BufferedBytes() != 0; }
 
-  [[nodiscard]] std::size_t BufferedBytes() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t BufferedBytes() const {
+    return buffer_.size() - read_;
+  }
 
  private:
+  // buffer_[0, read_) is already popped; Feed drops it before appending,
+  // so popping a burst of messages moves the unread tail once, not once
+  // per message.
   std::string buffer_;
+  std::size_t read_ = 0;
 };
 
 }  // namespace fadesched::service::shard

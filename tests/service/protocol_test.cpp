@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <sstream>
 
 #include "testing/fuzzer.hpp"
 #include "util/error.hpp"
@@ -199,35 +198,6 @@ TEST(ResponseLineTest, RejectsGarbage) {
   EXPECT_THROW((void)ParseResponseLine("MAYBE id=x"), util::HarnessError);
   EXPECT_THROW((void)ParseResponseLine("ERR id=x msg=no status"),
                util::HarnessError);
-}
-
-TEST(FrameAssemblerTest, AssemblesAcrossFeedsAndResets) {
-  const SchedulingRequest request = MakeRequest();
-  const std::string frame = FormatRequestFrame(request);
-  FrameAssembler assembler;
-  std::istringstream lines(frame);
-  std::string line;
-  bool completed = false;
-  while (std::getline(lines, line)) {
-    completed = assembler.Feed(line);
-  }
-  ASSERT_TRUE(completed);
-  ASSERT_TRUE(assembler.Done());
-  EXPECT_EQ(assembler.Parse().id, "r0");
-
-  assembler.Reset();
-  EXPECT_TRUE(assembler.Empty());
-}
-
-TEST(FrameAssemblerTest, TruncatedFrameNamesHowFarItGot) {
-  FrameAssembler assembler;
-  assembler.Feed("REQUEST id=a scheduler=rle");
-  assembler.Feed("# fadesched scenario v1");
-  assembler.Feed("alpha = 3");
-  EXPECT_FALSE(assembler.Done());
-  EXPECT_NE(assembler.Truncated().find("after 3 line(s)"), std::string::npos);
-  EXPECT_NE(assembler.Truncated().find("missing END"), std::string::npos);
-  EXPECT_THROW((void)assembler.Parse(), util::HarnessError);
 }
 
 }  // namespace

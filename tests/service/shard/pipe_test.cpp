@@ -5,6 +5,7 @@
 // length) — a framing bug is a worker bug, never retryable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,37 @@ TEST(PipeTest, ReassemblesAcrossArbitraryChunking) {
     }
   }
   EXPECT_EQ(seen, 20u);
+}
+
+TEST(PipeTest, SixtyFourBufferedEnvelopesDecodeInOrder) {
+  // A burst the router reads in one go: every envelope must pop in order
+  // and intact whether the bytes arrive at once (the read cursor walks
+  // the buffer) or one at a time (each Feed compacts what was popped).
+  std::vector<PipeMsg> in;
+  std::string wire;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    in.push_back(Msg(i % 2 == 0 ? PipeMsgKind::kRequest : PipeMsgKind::kResponse,
+                     1000 + i,
+                     std::string(static_cast<std::size_t>(i * 37 % 500),
+                                 static_cast<char>('A' + i % 26))));
+    AppendPipeMsg(wire, in.back());
+  }
+  for (const std::size_t chunk : {std::size_t{1}, wire.size()}) {
+    PipeDecoder decoder;
+    std::vector<PipeMsg> out;
+    for (std::size_t at = 0; at < wire.size(); at += chunk) {
+      decoder.Feed(wire.data() + at, std::min(chunk, wire.size() - at));
+      while (auto msg = decoder.Pop()) out.push_back(std::move(*msg));
+    }
+    ASSERT_EQ(out.size(), in.size()) << "chunk=" << chunk;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      EXPECT_EQ(out[i].kind, in[i].kind) << "chunk=" << chunk << " i=" << i;
+      EXPECT_EQ(out[i].ticket, in[i].ticket) << "chunk=" << chunk << " i=" << i;
+      EXPECT_EQ(out[i].payload, in[i].payload) << "chunk=" << chunk << " i=" << i;
+    }
+    EXPECT_FALSE(decoder.MidMessage());
+    EXPECT_EQ(decoder.BufferedBytes(), 0u);
+  }
 }
 
 TEST(PipeTest, MidMessageReportsPartialEnvelope) {

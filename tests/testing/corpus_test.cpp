@@ -1,8 +1,13 @@
 // Round-trip and parse-error contract of the .scenario corpus format.
 #include "testing/corpus.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +132,86 @@ TEST(CorpusTest, RejectsMultilineDescription) {
   ScenarioCase scenario = SampleCase();
   scenario.description = "two\nlines";
   EXPECT_THROW((void)FormatScenario(scenario), util::CheckFailure);
+}
+
+// FormatScenario as it was written with ostringstream and snprintf: the
+// reference its to_chars form must reproduce byte for byte, so corpus
+// files, check= values and routing keys stay what they were.
+std::string SnprintfFormat(const ScenarioCase& scenario) {
+  const auto num = [](double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return std::string(buf);
+  };
+  std::ostringstream os;
+  os << "# fadesched scenario v1\n";
+  os << "# description: " << scenario.description << "\n";
+  os << "alpha = " << num(scenario.params.alpha) << "\n";
+  os << "epsilon = " << num(scenario.params.epsilon) << "\n";
+  os << "gamma_th = " << num(scenario.params.gamma_th) << "\n";
+  os << "tx_power = " << num(scenario.params.tx_power) << "\n";
+  os << "noise_power = " << num(scenario.params.noise_power) << "\n";
+  os << "links:\n";
+  const net::LinkSet& links = scenario.links;
+  const bool with_power = !links.HasUniformTxPower();
+  os << "sx,sy,rx,ry,rate" << (with_power ? ",tx_power" : "") << "\n";
+  for (net::LinkId i = 0; i < links.Size(); ++i) {
+    os << num(links.Sender(i).x) << ',' << num(links.Sender(i).y) << ','
+       << num(links.Receiver(i).x) << ',' << num(links.Receiver(i).y) << ','
+       << num(links.Rate(i));
+    if (with_power) os << ',' << num(links.TxPower(i));
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(CorpusTest, FormatMatchesSnprintfForExtremeAndRandomDoubles) {
+  const std::vector<double> special = {
+      0.0,      -0.0,     4.9406564584124654e-324, -4.9406564584124654e-324,
+      2.2250738585072009e-308,  1e308,   -1e308,    1.7976931348623157e308,
+      1e-5,     1e-4,     0.1,      1e16,     1e17,   123456789012345678.0};
+  rng::Xoshiro256 gen(2024);
+  // A finite double with a random bit pattern; |value| < bound.
+  const auto random_double = [&gen](double bound) {
+    for (;;) {
+      const std::uint64_t bits = gen.Next();
+      double value;
+      std::memcpy(&value, &bits, sizeof(value));
+      if (std::isfinite(value) && std::fabs(value) < bound) return value;
+    }
+  };
+  std::size_t numbers = 0;
+  for (std::size_t c = 0; c < 200; ++c) {
+    ScenarioCase scenario;
+    scenario.description = "case " + std::to_string(c);
+    const auto pick = [&](std::size_t k) {
+      return k < special.size() ? special[k] : random_double(2e308);
+    };
+    // Channel parameters are not validated by the format: every special
+    // value, ±1e308 and ±0 included, passes through them.
+    scenario.params.alpha = pick((5 * c) % 40);
+    scenario.params.epsilon = pick((5 * c + 1) % 40);
+    scenario.params.gamma_th = pick((5 * c + 2) % 40);
+    scenario.params.tx_power = pick((5 * c + 3) % 40);
+    scenario.params.noise_power = pick((5 * c + 4) % 40);
+    for (std::size_t i = 0; i < 50; ++i) {
+      // Coordinates stay below 1e150 so link lengths are finite; ±0 and
+      // subnormals sit in the sender, far-out values in rate and power.
+      net::Link link;
+      link.sender = {i % 7 == 0 ? special[i % 4] : random_double(1e150),
+                     random_double(1e150)};
+      link.receiver = {random_double(1e150), random_double(1e150)};
+      link.rate = std::fabs(i % 5 == 0 ? special[2 + i % 6] : random_double(2e308));
+      if (!(link.rate > 0.0)) link.rate = 1.0;
+      link.tx_power = c % 2 == 0 ? 0.0 : std::fabs(random_double(2e308));
+      const double length = link.Length();
+      if (!(length > 0.0) || !std::isfinite(length)) continue;  // Add rejects
+      scenario.links.Add(link);
+    }
+    numbers += 5 + scenario.links.Size() * (c % 2 == 0 ? 5 : 6);
+    ASSERT_EQ(FormatScenario(scenario), SnprintfFormat(scenario)) << "case " << c;
+  }
+  EXPECT_GT(numbers, 50000u);
 }
 
 }  // namespace
