@@ -4,6 +4,7 @@
 // alone exceeds γ_ε, and must degrade gracefully as noise rises.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "channel/feasibility.hpp"
@@ -27,8 +28,11 @@ channel::ChannelParams NoisyParams(double noise_relative) {
   return params;
 }
 
+// The algorithm is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which would put an ASLR-dependent
+// value into every test's name.
 using NoiseGrid =
-    std::tuple<const char* /*algorithm*/, double /*noise_relative*/,
+    std::tuple<std::string /*algorithm*/, double /*noise_relative*/,
                std::uint64_t /*seed*/>;
 
 class NoisyFeasibilityTest : public ::testing::TestWithParam<NoiseGrid> {};
